@@ -15,20 +15,29 @@
 //!
 //! # Layout: wavefront buckets, not a heap
 //!
-//! Lockstep collectives make the event population *wave-shaped*: at any
-//! instant the queue holds a handful of distinct timestamps, each shared
-//! by a large same-time run (hundreds of events — one per rank of the
-//! current wavefront). A comparison heap pays `O(log n)` sift work per
-//! event to maintain a total order it never needs: events are consumed
-//! one whole timestamp at a time.
+//! Lockstep collectives make the event population *wave-shaped*: many
+//! events share each timestamp (up to one per rank of the current
+//! wavefront), and events are consumed one whole timestamp at a time. A
+//! comparison heap pays `O(log n)` sift work per event to maintain a
+//! total order it never needs.
 //!
-//! So the queue buckets events by timestamp instead:
+//! How *many* timestamps are live at once (W) depends on how well the
+//! ranks stay in step. Jitter-free collectives keep W in single digits,
+//! but the app skeletons' per-rank compute jitter (and CE detours)
+//! scatter the ranks, and W then tracks the rank count: the noise-free
+//! 256-rank fig4 schedules peak at 261 (LAMMPS-lj) to ~1,200 (LULESH),
+//! and the noise-free 8192-rank LAMMPS-lj run peaks at 8,234 live waves
+//! and opens a new one for ~40% of its events.
 //!
-//! * **Waves** — a short `Vec` of `(time, bucket)` pairs, sorted by
-//!   time, one per distinct *future* timestamp. A push appends to its
-//!   wave's bucket unordered in O(1) (plus a binary search over the
-//!   handful of live times); each bucket memoizes its minimum key so
-//!   peeking never scans.
+//! So the queue buckets events by timestamp, and indexes the buckets
+//! with an ordered map:
+//!
+//! * **Waves** — a `BTreeMap` from each distinct *future* timestamp to
+//!   its bucket. Finding a wave, creating one and removing the earliest
+//!   all cost `O(log W)`; with W small the whole index is one B-tree
+//!   leaf, searched linearly. A push then appends to its wave's bucket
+//!   unordered in O(1); each bucket memoizes its minimum key so peeking
+//!   never scans.
 //! * **The active run** — when the earliest wave is first *popped from*,
 //!   its bucket is sorted once by the `(crank, cseq)` tie-break (a
 //!   contiguous `u64` sort, unique keys, so the order is deterministic)
@@ -46,6 +55,8 @@
 //! takes a slow path that demotes the active run back to a wave.
 
 use cesim_model::Time;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Content-computable tie-break key: the rank that created the event and
 /// that rank's private event-creation counter. Combined with the
@@ -80,10 +91,9 @@ fn unpack_key(k: u64) -> EvKey {
     }
 }
 
-/// One future timestamp's unordered event bucket.
+/// One future timestamp's unordered event bucket (the timestamp itself
+/// is the bucket's key in [`EventQueue::waves`]).
 struct Wave<E> {
-    /// Timestamp shared by every entry (ps).
-    t: u64,
     /// Minimum packed key in `events`, memoized on push so
     /// [`EventQueue::peek_min`] is O(1) without sorting.
     min: u64,
@@ -95,9 +105,9 @@ struct Wave<E> {
 /// Deterministic time-ordered event queue (see module docs for the
 /// wavefront-bucket layout).
 pub struct EventQueue<E> {
-    /// Future timestamps, ascending, all strictly above `active_t` when
-    /// a run is active. Never contains an empty bucket.
-    waves: Vec<Wave<E>>,
+    /// Future timestamps (ps) to their buckets, all strictly above
+    /// `active_t` when a run is active. Never contains an empty bucket.
+    waves: BTreeMap<u64, Wave<E>>,
     /// The timestamp currently being drained (valid when `active`).
     active_t: u64,
     active: bool,
@@ -123,11 +133,14 @@ impl<E: Copy> EventQueue<E> {
         Self::default()
     }
 
-    /// An empty queue with pre-reserved capacity (for the active run;
-    /// wave buckets grow to their own high-water marks on first use).
+    /// An empty queue whose first wave — typically the seeded initial
+    /// wavefront — can hold `cap` events without regrowing. The buffer
+    /// then rotates through the active run, the wave buckets and the
+    /// spare pool like any other; every bucket grows to its own
+    /// high-water mark on use.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::default();
-        q.run.reserve(cap);
+        q.reserve(cap);
         q
     }
 
@@ -158,22 +171,23 @@ impl<E: Copy> EventQueue<E> {
         self.wave_push(t, k, event);
     }
 
-    /// File `(k, event)` under the wave for `t`, creating it in sorted
-    /// position if absent. The wave list holds one entry per distinct
-    /// live future timestamp — single digits in wave-shaped workloads —
-    /// so the binary search and any insertion shuffle are cheap.
+    /// File `(k, event)` under the wave for `t`, creating it if absent.
+    /// The index holds one entry per distinct live future timestamp —
+    /// about one per rank once jitter pulls the ranks apart (261 at 256
+    /// ranks, 8,234 at 8192) — so the lookup and a new wave's insertion
+    /// are both `O(log W)`.
     #[inline]
     fn wave_push(&mut self, t: u64, k: u64, event: E) {
-        match self.waves.binary_search_by_key(&t, |w| w.t) {
-            Ok(i) => {
-                let w = &mut self.waves[i];
+        match self.waves.entry(t) {
+            Entry::Occupied(mut o) => {
+                let w = o.get_mut();
                 w.min = w.min.min(k);
                 w.events.push((k, event));
             }
-            Err(i) => {
+            Entry::Vacant(v) => {
                 let mut events = self.spare.pop().unwrap_or_default();
                 events.push((k, event));
-                self.waves.insert(i, Wave { t, min: k, events });
+                v.insert(Wave { min: k, events });
             }
         }
     }
@@ -194,15 +208,11 @@ impl<E: Copy> EventQueue<E> {
             return;
         }
         let min = events.iter().map(|&(k, _)| k).min().expect("non-empty");
-        debug_assert!(self.waves.first().is_none_or(|w| w.t > self.active_t));
-        self.waves.insert(
-            0,
-            Wave {
-                t: self.active_t,
-                min,
-                events,
-            },
-        );
+        debug_assert!(self
+            .waves
+            .first_key_value()
+            .is_none_or(|(&t, _)| t > self.active_t));
+        self.waves.insert(self.active_t, Wave { min, events });
     }
 
     /// Make the earliest wave the active run: sort its bucket once by
@@ -210,16 +220,15 @@ impl<E: Copy> EventQueue<E> {
     /// deterministic) and drain it by cursor from then on.
     fn activate_next(&mut self) -> bool {
         debug_assert!(self.cursor == self.run.len() && self.side.is_empty());
-        if self.waves.is_empty() {
+        let Some((t, wave)) = self.waves.pop_first() else {
             return false;
-        }
-        let wave = self.waves.remove(0);
+        };
         let mut retired = std::mem::replace(&mut self.run, wave.events);
         retired.clear();
         self.spare.push(retired);
         self.run.sort_unstable_by_key(|&(k, _)| k);
         self.cursor = 0;
-        self.active_t = wave.t;
+        self.active_t = t;
         self.active = true;
         true
     }
@@ -326,7 +335,7 @@ impl<E: Copy> EventQueue<E> {
         if self.cursor < self.run.len() || !self.side.is_empty() {
             return Some(Time::from_ps(self.active_t));
         }
-        self.waves.first().map(|w| Time::from_ps(w.t))
+        self.waves.first_key_value().map(|(&t, _)| Time::from_ps(t))
     }
 
     /// `(time, key)` of the earliest event without removing it.
@@ -340,8 +349,8 @@ impl<E: Copy> EventQueue<E> {
             (None, Some(s)) => s,
             (None, None) => {
                 // Wave buckets are unsorted but memoize their minimum.
-                let w = self.waves.first()?;
-                return Some((Time::from_ps(w.t), unpack_key(w.min)));
+                let (&t, w) = self.waves.first_key_value()?;
+                return Some((Time::from_ps(t), unpack_key(w.min)));
             }
         };
         Some((Time::from_ps(self.active_t), unpack_key(k)))
@@ -350,7 +359,7 @@ impl<E: Copy> EventQueue<E> {
     /// Remove all events, retaining the allocated buffers — a cleared
     /// queue behaves exactly like a fresh one without reallocating.
     pub fn clear(&mut self) {
-        for mut w in self.waves.drain(..) {
+        for (_, mut w) in std::mem::take(&mut self.waves) {
             w.events.clear();
             self.spare.push(w.events);
         }
@@ -362,11 +371,36 @@ impl<E: Copy> EventQueue<E> {
         self.pushed = 0;
     }
 
-    /// Grow the active-run buffer to hold at least `additional` more
-    /// events (no-op when capacity is already there — reused queues keep
-    /// their high-water allocation).
+    /// Make sure the next wave to be created can hold `additional`
+    /// events without regrowing (no-op when the buffer it will take
+    /// already can).
+    ///
+    /// Meant for sizing a fresh queue once. No buffer has a fixed role:
+    /// activation swaps the active run's buffer with the front wave's
+    /// bucket and retires the old one to the spare pool, from which new
+    /// waves take theirs. So calling this on every reuse of a queue
+    /// reserves a different pooled buffer each time, until all of them
+    /// hold `additional`. Reused queues need no reservation — every
+    /// buffer keeps its own high-water capacity.
     pub fn reserve(&mut self, additional: usize) {
-        self.run.reserve(additional);
+        match self.spare.last_mut() {
+            Some(buf) => buf.reserve(additional),
+            None => self.spare.push(Vec::with_capacity(additional)),
+        }
+    }
+
+    /// Events' worth of capacity held across every buffer — the active
+    /// run, the side heap, the wave buckets and the spare pool.
+    #[cfg(test)]
+    pub(crate) fn reserved_capacity(&self) -> usize {
+        self.run.capacity()
+            + self.side.capacity()
+            + self
+                .waves
+                .values()
+                .map(|w| w.events.capacity())
+                .sum::<usize>()
+            + self.spare.iter().map(Vec::capacity).sum::<usize>()
     }
 
     /// Number of events currently queued.
@@ -388,7 +422,7 @@ impl<E: Copy> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            waves: Vec::new(),
+            waves: BTreeMap::new(),
             active_t: 0,
             active: false,
             run: Vec::new(),
@@ -590,6 +624,21 @@ mod tests {
         q.push(Time::from_ps(9), k(0, 1), 400);
         assert_eq!(q.pop(), Some((Time::from_ps(9), k(0, 0), 300)));
         assert_eq!(q.pop(), Some((Time::from_ps(9), k(0, 1), 400)));
+    }
+
+    /// `with_capacity` sizes the buffer the first wave takes: filling
+    /// that wave allocates nothing more.
+    #[test]
+    fn with_capacity_sizes_the_first_wave() {
+        let mut q = EventQueue::with_capacity(100);
+        for i in 0..100 {
+            q.push(Time::from_ps(5), k(i % 7, i), i);
+        }
+        assert_eq!(q.reserved_capacity(), 100);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, e)| e).collect();
+        let mut want: Vec<u32> = (0..100).collect();
+        want.sort_by_key(|&i| (i % 7, i));
+        assert_eq!(order, want);
     }
 
     #[test]
@@ -832,6 +881,101 @@ mod proptests {
                 prop_assert_eq!(q.pop(), Some(expect));
             }
             prop_assert_eq!(q.pop(), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Thousands of live timestamps at once — the desynchronized
+        /// regime of large jittered runs — pushed in random order and
+        /// interleaved with `pop`, `pop_batch`, same-instant pushes and
+        /// pushes below the active timestamp (demotion while the wave
+        /// index is deep), always pop in exactly the order of a sorted
+        /// reference.
+        #[test]
+        fn many_live_waves_stay_sorted(seed in 0u64..=u64::MAX) {
+            let mut s = seed | 1;
+            let mut rnd = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let mut next_seq = [0u32; 64];
+            let mut key = |r: u64| {
+                let crank = (r % 64) as u32;
+                let cseq = next_seq[crank as usize];
+                next_seq[crank as usize] += 1;
+                EvKey { crank, cseq }
+            };
+            let mut q = EventQueue::new();
+            let mut reference = std::collections::BTreeMap::new();
+            let mut payload = 0usize;
+            let mut push = |q: &mut EventQueue<usize>, refm: &mut std::collections::BTreeMap<_, _>, t: u64, key: EvKey| {
+                q.push(Time::from_ps(t), key, payload);
+                refm.insert((t, key), payload);
+                payload += 1;
+            };
+            // Build a deep index first: 6000 events over ~5000 distinct
+            // timestamps, in random order.
+            for _ in 0..6000 {
+                let r = rnd();
+                push(&mut q, &mut reference, 1000 + r % 10_000, key(r >> 32));
+            }
+            prop_assert!(q.waves.len() >= 4096, "only {} live waves", q.waves.len());
+            let mut now = 0u64;
+            let mut demoted_deep = false;
+            let mut batch = Vec::new();
+            for _ in 0..12_000 {
+                let r = rnd();
+                match r % 20 {
+                    // Causal future pushes keep the index deep.
+                    0..=10 => push(&mut q, &mut reference, now + 1 + (r >> 8) % 10_000, key(r >> 32)),
+                    // Same-instant pushes land in the side heap.
+                    11..=12 => push(&mut q, &mut reference, now, key(r >> 32)),
+                    // Below the active timestamp: demotion.
+                    13 => {
+                        let t = now.saturating_sub(1 + (r >> 8) % 50);
+                        demoted_deep |= q.active && t < q.active_t && q.waves.len() >= 1000;
+                        push(&mut q, &mut reference, t, key(r >> 32));
+                    }
+                    14..=17 => {
+                        let got = q.pop();
+                        let want = reference.pop_first().map(|((t, k), p)| (Time::from_ps(t), k, p));
+                        prop_assert_eq!(got, want);
+                        if let Some((t, _, _)) = got {
+                            now = t.as_ps();
+                        }
+                    }
+                    _ => {
+                        let n = q.pop_batch(&mut batch);
+                        prop_assert_eq!(n, batch.len());
+                        if let Some(&(t, _, _)) = batch.first() {
+                            now = t.as_ps();
+                            for &got in &batch {
+                                let ((rt, rk), rp) = reference.pop_first().expect("reference non-empty");
+                                prop_assert_eq!(got, (Time::from_ps(rt), rk, rp));
+                            }
+                            // The batch took the whole timestamp.
+                            prop_assert!(reference.first_key_value().is_none_or(|(&(rt, _), _)| rt > now));
+                        } else {
+                            prop_assert!(reference.is_empty());
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(
+                    q.peek_min(),
+                    reference.first_key_value().map(|(&(t, k), _)| (Time::from_ps(t), k))
+                );
+            }
+            prop_assert!(demoted_deep, "no demotion happened with a deep index");
+            while let Some(got) = q.pop() {
+                let ((t, k), p) = reference.pop_first().expect("reference non-empty");
+                prop_assert_eq!(got, (Time::from_ps(t), k, p));
+            }
+            prop_assert!(reference.is_empty());
         }
     }
 }

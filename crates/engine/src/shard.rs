@@ -504,14 +504,27 @@ fn cuts(nranks: usize, shards: usize) -> Vec<u32> {
 /// work (finer splits drown in window overhead and are where the
 /// measured scaling went non-monotonic), and clamped to 64.
 ///
-/// Single-CPU hosts return 1. The old binary-heap queue rewarded
-/// splitting even without parallelism — each shard's heap, and
-/// therefore every sift, shrank by the split factor (the first
-/// `sharded_single_run_scaling` entry in `BENCH_engine.json` climbs
-/// through 1.55x at 64 shards) — but the wavefront bucket queue already
-/// works on one small sorted run at a time, so the remeasured lockstep
-/// scaling is flat (0.92–1.00x at 64k ranks) and sharding is pure
-/// overhead without real cores behind it.
+/// Single-CPU hosts return 1: without real cores behind it, sharding is
+/// pure overhead. Two effects once made lockstep splits pay on one CPU,
+/// and neither survives:
+///
+/// * The binary-heap queue (the first `sharded_single_run_scaling`
+///   entry in `BENCH_engine.json`, 1.55x at 64 shards) paid a sift
+///   depth of `log n` in the events queued, which shrinks with each
+///   shard's share. That bench's allreduce runs in perfect lockstep —
+///   at most one future timestamp is live, serially and per shard — so
+///   the number of live timestamps (W) played no part; the heap's size
+///   did. The wavefront bucket queue has no sift depth.
+/// * The first wavefront queue kept its waves in a sorted `Vec`, so each
+///   new timestamp cost `O(W)`. Desynchronized runs have about one live
+///   timestamp per rank, and splitting divides W by the shard count: the
+///   noise-free 8192-rank LAMMPS-lj baseline (steps_scale 0.25) took
+///   3.08 s serially and 0.57 s in 16 lockstep shards on one CPU. The
+///   B-tree wave index makes that cost `O(log W)`; the same run now
+///   takes 0.43 s serially and 0.47–0.56 s in 2–16 lockstep shards.
+///
+/// Remeasured at 65,536 ranks with the B-tree index, lockstep scaling is
+/// 0.79–0.98x for 2–64 shards.
 ///
 /// Schedules below 2048 ranks also return 1: window overhead beats any
 /// split there regardless of host.

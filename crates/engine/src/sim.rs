@@ -188,9 +188,9 @@ struct UnexMsg {
 /// The immutable half of a prepared simulation is the
 /// [`CompiledSchedule`]; everything the event loop mutates — CPU/NIC
 /// cursors, the indegree working copy, done bits, match queues, the
-/// event heap, statistics counters — lives here. [`reset`](RunScratch::reset)
+/// event queue, statistics counters — lives here. [`reset`](RunScratch::reset)
 /// clears it in O(touched) **without freeing**: vectors keep their
-/// capacity, the heap keeps its buffer, and [`TagQueue`]s park drained
+/// capacity, the queue keeps its buffers, and [`TagQueue`]s park drained
 /// buckets for reuse, so repeated runs of the same schedule reach a
 /// steady state with near-zero allocator traffic.
 ///
@@ -259,8 +259,8 @@ impl RunScratch {
     }
 
     /// Re-initialize for a run of `cs`, retaining every allocation:
-    /// vectors are cleared and refilled in place, the event heap keeps
-    /// its buffer, and the match queues recycle their bucket `VecDeque`s.
+    /// vectors are cleared and refilled in place, the event queue keeps
+    /// its buffers, and the match queues recycle their bucket `VecDeque`s.
     /// A reset scratch is indistinguishable from a fresh one (event
     /// creation counters restart at zero), which is what keeps reuse
     /// byte-identical to fresh-per-run simulation.
@@ -306,12 +306,12 @@ impl RunScratch {
         self.queue.clear();
         self.batch.clear();
         self.outbox.clear();
-        // Pre-size for the initial ready wavefront plus in-flight
-        // messages, from the *owned slice's* op count (not the global
-        // total — a shard's queue only ever sees its own ranks' events)
-        // so large sharded runs avoid repeated buffer regrowth without
-        // over-allocating per shard. No-op once the buffer is warm.
-        self.queue.reserve(total.clamp(64, 1 << 22));
+        // No queue reservation: its buffers rotate between the active
+        // run, the wave buckets and the spare pool, so reserving here
+        // would land on a different pooled buffer each reset and ratchet
+        // every one of them up to whole-schedule size. Each buffer keeps
+        // its own high-water capacity instead, which already makes warm
+        // resets allocation-free.
         self.completed = 0;
         self.msgs_delivered = 0;
         self.control_msgs = 0;
@@ -323,7 +323,7 @@ impl RunScratch {
 
     /// Seed the initial ready wavefront: every root op on an owned rank,
     /// in `cs.roots` (rank-major) order, keyed by its own rank's creation
-    /// counter. One O(n) heapify (see [`EventQueue::seed`]).
+    /// counter, in one bulk pass (see [`EventQueue::seed`]).
     pub(crate) fn seed_roots(&mut self, cs: &CompiledSchedule) {
         let (lo, hi) = (self.rank_lo, self.rank_hi);
         let push_seq = &mut self.push_seq;
@@ -1930,6 +1930,64 @@ mod tests {
             // Steady state: replica reuse never grows the arena.
             assert_eq!(scratch.slab.msgs.len(), high_water);
         }
+    }
+
+    /// A ring exchange whose per-rank compute varies with `salt`, so the
+    /// ranks drift apart and the queue holds many live timestamps.
+    fn jittered_ring(n: u32, steps: u32, salt: u32) -> crate::compile::CompiledSchedule {
+        let mut b = ScheduleBuilder::new(n as usize);
+        let mut prev: Vec<Vec<_>> = vec![Vec::new(); n as usize];
+        for step in 0..steps {
+            for r in 0..n {
+                let us = 1 + (r * 7919 + step * 104_729 + salt) % 17;
+                let c = b.calc(Rank(r), Span::from_us(us as u64), &prev[r as usize]);
+                let s = b.send(Rank(r), Rank((r + 1) % n), 64, Tag(step), &[c]);
+                let from = Rank((r + n - 1) % n);
+                let v = b.recv(Rank(r), Some(from), 64, Tag(step), &[c]);
+                prev[r as usize] = vec![s, v];
+            }
+        }
+        crate::compile::CompiledSchedule::compile(&b.build())
+    }
+
+    /// Regression: one scratch reused across many runs of several
+    /// schedules must settle at a fixed queue footprint. The queue's
+    /// buffers rotate between the active run, the wave buckets and the
+    /// spare pool, so a per-reset reservation used to land on a
+    /// different buffer each time and ratchet every pooled buffer up to
+    /// whole-schedule size.
+    #[test]
+    fn reused_scratch_queue_capacity_plateaus() {
+        let p = xc40();
+        let schedules = [
+            jittered_ring(48, 40, 1),
+            jittered_ring(64, 30, 2),
+            jittered_ring(96, 20, 3),
+        ];
+        let max_ops = schedules
+            .iter()
+            .map(|cs| cs.total_ops() as usize)
+            .max()
+            .unwrap();
+        let mut scratch = RunScratch::new();
+        let mut caps = Vec::new();
+        for i in 0..240 {
+            simulate_compiled_with(&schedules[i % 3], &p, &mut scratch, &mut NoNoise).unwrap();
+            caps.push(scratch.queue.reserved_capacity());
+        }
+        // Plateau: the second half of the runs reserves nothing new.
+        assert!(
+            caps[120..].iter().all(|&c| c == caps[119]),
+            "queue capacity still growing: {caps:?}"
+        );
+        // And the plateau is the buffers' own high-water marks, far below
+        // one whole-schedule reservation per pooled buffer (which this
+        // set of schedules would settle at ~30x `max_ops`).
+        assert!(
+            caps[239] <= max_ops,
+            "queue holds {} events of capacity for {max_ops}-op schedules",
+            caps[239]
+        );
     }
 
     #[test]

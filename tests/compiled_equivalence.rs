@@ -230,3 +230,73 @@ proptest! {
         prop_assert_eq!(cs.roots(), &roots_ref[..]);
     }
 }
+
+/// Engine identity where the event queue is deepest: a jittered
+/// 2048-rank LAMMPS-lj schedule drifts out of lockstep, so about one
+/// distinct timestamp per rank is live at once (the wave index peaks
+/// above 2,000 entries). Serial, sharded ({2, 4} × {lockstep, threads})
+/// and reused-scratch runs must agree on the full `SimResult`,
+/// noise-free and under CE noise.
+#[test]
+fn desynchronized_2048_rank_run_is_path_identical() {
+    use dram_ce_sim::workloads::{self, AppId, WorkloadConfig};
+    let ranks = 2048;
+    let cfg = WorkloadConfig {
+        steps_override: Some(3),
+        jitter: 0.05,
+        ..WorkloadConfig::default()
+    };
+    let cs = CompiledSchedule::compile(&workloads::build(AppId::LammpsLj, ranks, &cfg));
+    let p = LogGopsParams::xc40();
+    let mk = || {
+        CeNoise::new(
+            ranks,
+            Span::from_ms(20),
+            Span::from_us(200),
+            Scope::AllRanks,
+            7,
+        )
+    };
+
+    let serial = simulate_compiled(&cs, &p, &mut NoNoise).unwrap();
+    let serial_noisy = simulate_compiled(&cs, &p, &mut mk()).unwrap();
+    assert!(serial_noisy.noise_events > 0, "CE noise never fired");
+    assert_ne!(serial, serial_noisy);
+    // The ranks really are out of step: most finish at distinct instants.
+    let mut finishes = serial.per_rank_finish.clone();
+    finishes.sort_unstable();
+    finishes.dedup();
+    assert!(
+        finishes.len() >= ranks / 2,
+        "only {} distinct rank finish times",
+        finishes.len()
+    );
+
+    // A scratch warmed on the other run (and on itself) must not bleed.
+    let mut scratch = RunScratch::new();
+    for _ in 0..2 {
+        assert_eq!(
+            serial_noisy,
+            simulate_compiled_with(&cs, &p, &mut scratch, &mut mk()).unwrap()
+        );
+        assert_eq!(
+            serial,
+            simulate_compiled_with(&cs, &p, &mut scratch, &mut NoNoise).unwrap()
+        );
+    }
+
+    for shards in [2usize, 4] {
+        for mode in [ShardMode::Lockstep, ShardMode::Threads] {
+            assert_eq!(
+                serial,
+                simulate_compiled_sharded(&cs, &p, shards, mode, &NoNoise).unwrap(),
+                "noise-free, {shards} shards, {mode:?}"
+            );
+            assert_eq!(
+                serial_noisy,
+                simulate_compiled_sharded(&cs, &p, shards, mode, &mk()).unwrap(),
+                "CE noise, {shards} shards, {mode:?}"
+            );
+        }
+    }
+}
