@@ -4,10 +4,12 @@
 //! The experiment layer runs the *same* schedule under many noise seeds
 //! (replicas). The legacy path (`simulate`) re-compiles the schedule and
 //! re-allocates all per-run state for every replica; the compiled path
-//! (`simulate_compiled`) compiles once and resets a pooled per-thread
-//! scratch in place. This bench measures both on a 256-rank back-to-back
-//! allreduce sweep under CE noise and reports the replica-throughput
-//! ratio.
+//! (`simulate_compiled_with` on one reused scratch) compiles once and
+//! resets that scratch in place. It always drives the event loop, so a
+//! replica that `simulate_compiled` would answer from the quiet-replica
+//! memo is still timed as a real run. This bench measures both on a
+//! 256-rank back-to-back allreduce sweep under CE noise and reports the
+//! replica-throughput ratio.
 //!
 //! Scaling knobs (for CI smoke runs):
 //!
@@ -18,7 +20,7 @@
 //! * `ENGINE_BENCH_JSON` — if set, write the headline comparison as
 //!   JSON to this path (used to produce `BENCH_engine.json`).
 
-use cesim_core::engine::{simulate, simulate_compiled, CompiledSchedule};
+use cesim_core::engine::{simulate, simulate_compiled_with, CompiledSchedule, RunScratch};
 use cesim_core::goal::builder::TagPool;
 use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCosts};
 use cesim_core::goal::{Rank, Schedule, ScheduleBuilder};
@@ -97,6 +99,7 @@ fn bench_compile(c: &mut Criterion) {
     let sched = allreduce_schedule(ranks, rounds);
     let cs = CompiledSchedule::compile(&sched);
     let ops = sched.total_ops() as u64;
+    let mut scratch = RunScratch::new();
 
     let mut g = c.benchmark_group("compile");
     g.sample_size(10);
@@ -116,7 +119,13 @@ fn bench_compile(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            simulate_compiled(black_box(&cs), &params, &mut noise(ranks, seed)).unwrap()
+            simulate_compiled_with(
+                black_box(&cs),
+                &params,
+                &mut scratch,
+                &mut noise(ranks, seed),
+            )
+            .unwrap()
         })
     });
     g.finish();
@@ -130,7 +139,7 @@ fn bench_compile(c: &mut Criterion) {
             simulate(&sched, &params, &mut noise(ranks, seed)).unwrap();
         },
         &mut |seed| {
-            simulate_compiled(&cs, &params, &mut noise(ranks, seed)).unwrap();
+            simulate_compiled_with(&cs, &params, &mut scratch, &mut noise(ranks, seed)).unwrap();
         },
     );
     let speedup = compiled / rebuild;

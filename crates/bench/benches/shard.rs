@@ -13,6 +13,10 @@
 //! much smaller per-window working sets — which is the honest number
 //! to commit from a single-core runner.
 //!
+//! The serial side runs through `simulate_compiled_with`, which always
+//! drives the event loop (`simulate_compiled` would answer repeated
+//! noise-free runs from the schedule's quiet-replica memo).
+//!
 //! Scaling knobs (for CI smoke runs):
 //!
 //! * `SHARD_BENCH_RANKS` — ranks in the allreduce (default 65536);
@@ -24,7 +28,8 @@
 //!   this path (merged into `BENCH_engine.json`).
 
 use cesim_core::engine::{
-    simulate_compiled, simulate_compiled_sharded, CompiledSchedule, ShardMode, SimResult,
+    simulate_compiled_sharded, simulate_compiled_with, CompiledSchedule, RunScratch, ShardMode,
+    SimResult,
 };
 use cesim_core::goal::builder::TagPool;
 use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCosts};
@@ -82,6 +87,7 @@ fn bench_shard(c: &mut Criterion) {
     let sched = allreduce_schedule(ranks, rounds);
     let cs = CompiledSchedule::compile(&sched);
     let ops = sched.total_ops() as u64;
+    let mut scratch = RunScratch::new();
 
     // Criterion pass at whatever scale the env selected (CI smoke runs
     // shrink it); the committed numbers come from the headline below.
@@ -91,7 +97,14 @@ fn bench_shard(c: &mut Criterion) {
         g.sample_size(10);
         g.throughput(Throughput::Elements(ops));
         g.bench_function(format!("serial_{ranks}r"), |b| {
-            b.iter(|| simulate_compiled(black_box(&cs), &params, &mut cesim_core::engine::NoNoise))
+            b.iter(|| {
+                simulate_compiled_with(
+                    black_box(&cs),
+                    &params,
+                    &mut scratch,
+                    &mut cesim_core::engine::NoNoise,
+                )
+            })
         });
         for &s in &shard_counts {
             g.bench_function(format!("lockstep_{s}shards_{ranks}r"), |b| {
@@ -112,7 +125,8 @@ fn bench_shard(c: &mut Criterion) {
     // Headline: best-of-trials single-run latency, serial vs each shard
     // count, with a full-result equality check on every configuration.
     let (serial_s, serial_r) = best_secs(trials, &mut || {
-        simulate_compiled(&cs, &params, &mut cesim_core::engine::NoNoise).unwrap()
+        simulate_compiled_with(&cs, &params, &mut scratch, &mut cesim_core::engine::NoNoise)
+            .unwrap()
     });
     println!(
         "single run ({ranks} ranks, {ops} ops): serial {serial_s:.3}s \

@@ -24,13 +24,18 @@
 //! timestamps follow, splitting the desync cost between the queue and
 //! the rest of the event loop.
 //!
+//! Every run goes through `simulate_compiled_with`, which always drives
+//! the event loop: `simulate_compiled` would answer the repeated
+//! noise-free runs from the schedule's quiet-replica memo and time that
+//! instead.
+//!
 //! Usage: `cargo build --release -p cesim-bench --example hotprof`, then
 //! run `target/release/examples/hotprof [desync]` and A/B the binary
 //! against a stashed baseline build; single runs on a noisy host swing
 //! ±10%, so interleave several rounds.
 
 use cesim_core::engine::queue::{EvKey, EventQueue};
-use cesim_core::engine::{simulate_compiled, CompiledSchedule, NoNoise};
+use cesim_core::engine::{simulate_compiled_with, CompiledSchedule, NoNoise, RunScratch};
 use cesim_core::goal::builder::TagPool;
 use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCosts};
 use cesim_core::goal::{Rank, ScheduleBuilder};
@@ -69,12 +74,13 @@ fn desync() {
             ..WorkloadConfig::default()
         };
         let cs = CompiledSchedule::compile(&workloads::build(AppId::LammpsLj, ranks, &cfg));
-        // Warm-up run sizes the thread's scratch outside the timed region.
-        simulate_compiled(&cs, &params, &mut NoNoise).unwrap();
+        // Warm-up run sizes the scratch outside the timed region.
+        let mut scratch = RunScratch::new();
+        simulate_compiled_with(&cs, &params, &mut scratch, &mut NoNoise).unwrap();
         let t0 = Instant::now();
         let mut ev = 0u64;
         for _ in 0..reps {
-            ev += simulate_compiled(&cs, &params, &mut NoNoise)
+            ev += simulate_compiled_with(&cs, &params, &mut scratch, &mut NoNoise)
                 .unwrap()
                 .events_processed;
         }
@@ -116,14 +122,16 @@ fn lockstep() {
             seed,
         )
     };
+    let params = LogGopsParams::xc40();
     // Warm-up: populate scratch/caches outside the timed regions.
-    simulate_compiled(&cs, &LogGopsParams::xc40(), &mut mk(u64::MAX)).unwrap();
+    let mut scratch = RunScratch::new();
+    simulate_compiled_with(&cs, &params, &mut scratch, &mut mk(u64::MAX)).unwrap();
     let reps = 24u64;
 
     let t0 = Instant::now();
     let mut ev = 0u64;
     for s in 0..reps {
-        let r = simulate_compiled(&cs, &LogGopsParams::xc40(), &mut mk(s)).unwrap();
+        let r = simulate_compiled_with(&cs, &params, &mut scratch, &mut mk(s)).unwrap();
         ev += r.events_processed;
     }
     let el = t0.elapsed().as_secs_f64();
@@ -136,7 +144,7 @@ fn lockstep() {
     let t0 = Instant::now();
     let mut ev2 = 0u64;
     for _ in 0..reps {
-        let r = simulate_compiled(&cs, &LogGopsParams::xc40(), &mut NoNoise).unwrap();
+        let r = simulate_compiled_with(&cs, &params, &mut scratch, &mut NoNoise).unwrap();
         ev2 += r.events_processed;
     }
     let el2 = t0.elapsed().as_secs_f64();

@@ -15,8 +15,9 @@
 
 use crate::seed::rep_seed;
 use cesim_engine::{
-    simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, NoNoise, NullRecorder,
-    ShardMode, ShardTelemetry, SimError, Simulator, WindowObserver,
+    simulate_compiled, simulate_compiled_with, simulate_sharded_instrumented, with_thread_scratch,
+    CompiledSchedule, NoNoise, NullRecorder, ShardMode, ShardTelemetry, SimError, SimResult,
+    Simulator, WindowObserver,
 };
 use cesim_goal::Schedule;
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
@@ -216,6 +217,16 @@ pub struct RunStats {
     pub events: u64,
 }
 
+impl RunStats {
+    fn of(r: &SimResult) -> Self {
+        RunStats {
+            finish: r.finish.since(Time::ZERO),
+            ce_events: r.noise_events,
+            events: r.events_processed,
+        }
+    }
+}
+
 /// Aggregated result of an [`Experiment`].
 #[derive(Clone, Debug)]
 pub struct Outcome {
@@ -233,6 +244,12 @@ pub struct Outcome {
     /// the experiment ran with a non-zero `observe_replicas` count (see
     /// [`run_against_baseline_observed`]).
     pub obs: Option<CellObs>,
+    /// Per replica (parallel to `runs`): whether it was answered from the
+    /// schedule's noise-free memo instead of simulated, because no CE
+    /// could reach it before the baseline finish (see
+    /// `cesim_engine::quiet`). An elided replica's [`RunStats`] equal a
+    /// real run's, but the engine did none of its work.
+    pub elided: Vec<bool>,
 }
 
 impl Outcome {
@@ -393,6 +410,7 @@ pub fn run_against_baseline_compiled_telem(
             runs: Vec::new(),
             diverged: true,
             obs: None,
+            elided: Vec::new(),
         });
     }
     let detour = exp.mode.per_event_cost();
@@ -406,7 +424,7 @@ pub fn run_against_baseline_compiled_telem(
     // Each replica is a self-contained job — its own noise model, seeded
     // from stable coordinates — so the replicas parallelize freely and
     // results are reassembled in replica order (identical to serial).
-    let results: Vec<Result<(RunStats, Option<ReplicaObs>), SimError>> = (0..exp.reps)
+    let results: Vec<Result<ReplicaRun, SimError>> = (0..exp.reps)
         .into_par_iter()
         .map(|rep| {
             let _trace_guard = trace.map(|t| t.install());
@@ -445,22 +463,29 @@ pub fn run_against_baseline_compiled_telem(
                 let events = rec.events();
                 let attr = cesim_obs::critical::attribute(&events);
                 let prov = cesim_obs::provenance::analyze(&events, rec.dropped()).summary();
-                Ok((
-                    RunStats {
-                        finish: r.finish.since(Time::ZERO),
-                        ce_events: r.noise_events,
-                        events: r.events_processed,
-                    },
-                    Some(ReplicaObs {
+                Ok(ReplicaRun {
+                    stats: RunStats::of(&r),
+                    obs: Some(ReplicaObs {
                         rep,
                         attr,
                         prov,
                         events: rec.len() as u64,
                         dropped: rec.dropped(),
                     }),
-                ))
+                    elided: false,
+                })
             } else {
-                let res = if exp.shards > 1 {
+                // A replica whose CEs all arrive after the noise-free
+                // finish is the noise-free run: answer it from the
+                // schedule's memo, whichever engine would have run it.
+                if let Some(r) = cs.quiet_result(&exp.params, &noise) {
+                    return Ok(ReplicaRun {
+                        stats: RunStats::of(&r),
+                        obs: None,
+                        elided: true,
+                    });
+                }
+                let r = if exp.shards > 1 {
                     simulate_sharded_instrumented(
                         cs,
                         &exp.params,
@@ -470,30 +495,27 @@ pub fn run_against_baseline_compiled_telem(
                         &mut NullRecorder,
                         telem,
                         window_obs,
-                    )
+                    )?
                 } else {
-                    simulate_compiled(cs, &exp.params, &mut noise)
+                    with_thread_scratch(|scratch| {
+                        simulate_compiled_with(cs, &exp.params, scratch, &mut noise)
+                    })?
                 };
-                res.map(|r| {
-                    (
-                        RunStats {
-                            finish: r.finish.since(Time::ZERO),
-                            ce_events: r.noise_events,
-                            events: r.events_processed,
-                        },
-                        None,
-                    )
+                Ok(ReplicaRun {
+                    stats: RunStats::of(&r),
+                    obs: None,
+                    elided: false,
                 })
             }
         })
         .collect();
-    let pairs: Vec<(RunStats, Option<ReplicaObs>)> =
-        results.into_iter().collect::<Result<_, _>>()?;
+    let replica_runs: Vec<ReplicaRun> = results.into_iter().collect::<Result<_, _>>()?;
     // Replica order is job order, so the aggregation below is
     // deterministic regardless of worker interleaving.
-    let replicas: Vec<ReplicaObs> = pairs.iter().filter_map(|(_, o)| *o).collect();
+    let replicas: Vec<ReplicaObs> = replica_runs.iter().filter_map(|r| r.obs).collect();
     let obs = (!replicas.is_empty()).then_some(CellObs { replicas });
-    let runs: Vec<RunStats> = pairs.into_iter().map(|(r, _)| r).collect();
+    let elided = replica_runs.iter().map(|r| r.elided).collect();
+    let runs: Vec<RunStats> = replica_runs.into_iter().map(|r| r.stats).collect();
     Ok(Outcome {
         app: exp.app,
         ranks,
@@ -501,7 +523,16 @@ pub fn run_against_baseline_compiled_telem(
         runs,
         diverged: false,
         obs,
+        elided,
     })
+}
+
+/// One replica job's result: its stats, its observation (recorded
+/// replicas only) and whether the quiet-replica memo answered it.
+struct ReplicaRun {
+    stats: RunStats,
+    obs: Option<ReplicaObs>,
+    elided: bool,
 }
 
 #[cfg(test)]

@@ -310,7 +310,11 @@ fn run_figure(
                 };
                 let cs = {
                     let _s = ProfSpan::enter("compile");
-                    Arc::new(CompiledSchedule::compile(&sched))
+                    let cs = Arc::new(CompiledSchedule::compile(&sched));
+                    // Freeing the pointer-y schedule is real work: keep
+                    // it inside a profiled phase.
+                    drop(sched);
+                    cs
                 };
                 let base = {
                     let _s = ProfSpan::enter("baseline");
@@ -436,8 +440,17 @@ fn run_figure(
                 let _agg = ProfSpan::enter("cell_aggregate");
                 if cfg.progress || cfg.progress_eta {
                     use std::sync::atomic::Ordering::Relaxed;
-                    let cell_events: u64 = out.runs.iter().map(|r| r.events).sum();
-                    let cell_sim_ps: u64 = out.runs.iter().map(|r| r.finish.as_ps()).sum();
+                    // Engine throughput counts only replicas the engine
+                    // ran, not those answered from the noise-free memo.
+                    let simulated = || {
+                        out.runs
+                            .iter()
+                            .zip(&out.elided)
+                            .filter(|(_, &elided)| !elided)
+                            .map(|(r, _)| r)
+                    };
+                    let cell_events: u64 = simulated().map(|r| r.events).sum();
+                    let cell_sim_ps: u64 = simulated().map(|r| r.finish.as_ps()).sum();
                     let events = events_done.fetch_add(cell_events, Relaxed) + cell_events;
                     let sim_ps = sim_ps_done.fetch_add(cell_sim_ps, Relaxed) + cell_sim_ps;
                     let elapsed = sweep_start.elapsed().as_secs_f64();

@@ -26,6 +26,7 @@
 //! rebuild-per-run path (`tests/compiled_equivalence.rs` property-checks
 //! this over random DAGs including `MPI_ANY_SOURCE` and rendezvous).
 
+use crate::quiet::QuietMemo;
 use cesim_goal::{OpKind, Rank, Schedule, Tag};
 use cesim_model::Span;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,6 +90,8 @@ pub struct CompiledSchedule {
     /// Zero-indegree `(rank, local op)` pairs in flat (= legacy seeding)
     /// order: the initial ready wavefront at `t = 0`.
     pub(crate) roots: Vec<(u32, u32)>,
+    /// Noise-free results per parameter set (see [`crate::quiet`]).
+    pub(crate) quiet: QuietMemo,
 }
 
 impl CompiledSchedule {
@@ -179,6 +182,7 @@ impl CompiledSchedule {
             dep_tgt,
             indeg0,
             roots,
+            quiet: QuietMemo::default(),
         }
     }
 

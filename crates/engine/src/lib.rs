@@ -25,6 +25,11 @@
 //! detours on one rank propagate along communication dependencies to ranks
 //! it never talks to directly, reproducing the behavior sketched in
 //! Fig. 1 of the paper.
+//!
+//! **Quiet-replica elision.** A run whose noise provably cannot land
+//! before the noise-free run finishes *is* the noise-free run;
+//! [`simulate_compiled`] answers it from a per-schedule memo instead of
+//! simulating (see [`quiet`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +38,7 @@ pub mod compile;
 pub mod matchq;
 pub mod noise;
 pub mod queue;
+pub mod quiet;
 pub mod record;
 pub mod result;
 pub mod shard;
@@ -42,6 +48,7 @@ pub mod topology;
 pub use compile::CompiledSchedule;
 pub use matchq::TagQueue;
 pub use noise::{NoNoise, NoiseModel};
+pub use quiet::{quiet_counts, QuietCounts};
 pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorder};
 pub use result::{SimError, SimResult};
 pub use shard::{
@@ -50,5 +57,7 @@ pub use shard::{
     simulate_sharded_recorded_observed, ShardGlobals, ShardHealth, ShardHealthReport, ShardMode,
     ShardTelemetry, WindowHook, WindowObserver, WINDOW_BATCH,
 };
-pub use sim::{simulate, simulate_compiled, simulate_compiled_with, RunScratch, Simulator};
+pub use sim::{
+    simulate, simulate_compiled, simulate_compiled_with, with_thread_scratch, RunScratch, Simulator,
+};
 pub use topology::{Dragonfly, FatTree, FlatCrossbar, Topology, Torus3D};

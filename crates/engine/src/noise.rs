@@ -8,7 +8,10 @@
 //! * calls for a given rank have non-decreasing `start` values (the
 //!   engine's per-rank CPU cursor guarantees this), so implementations can
 //!   keep per-rank cursors of their own;
-//! * `stretch` must return `>= start + work` — noise can only delay.
+//! * `stretch` must return `>= start + work` — noise can only delay;
+//! * `stretch(rank, start, work)` must return exactly `start + work`,
+//!   injecting nothing, whenever `start + work < quiet_until()` (see
+//!   [`NoiseModel::quiet_until`]).
 
 use cesim_goal::Rank;
 use cesim_model::{Span, Time};
@@ -24,6 +27,21 @@ pub trait NoiseModel {
     fn events_injected(&self) -> u64 {
         0
     }
+
+    /// A time before which this model provably injects nothing:
+    /// `stretch(rank, start, work)` returns exactly `start + work` and
+    /// leaves [`events_injected`](NoiseModel::events_injected) unchanged
+    /// whenever `start + work < quiet_until()`.
+    ///
+    /// The engine uses the bound to skip runs whose noise cannot land
+    /// before the noise-free run ends (see
+    /// [`CompiledSchedule::quiet_result`](crate::CompiledSchedule::quiet_result)).
+    /// The default, [`Time::ZERO`], promises nothing and is always
+    /// correct; an override must never be later than the model's first
+    /// possible injection.
+    fn quiet_until(&self) -> Time {
+        Time::ZERO
+    }
 }
 
 /// The identity model: no noise, CPU intervals take exactly their work.
@@ -34,6 +52,10 @@ impl NoiseModel for NoNoise {
     #[inline]
     fn stretch(&mut self, _rank: Rank, start: Time, work: Span) -> Time {
         start + work
+    }
+
+    fn quiet_until(&self) -> Time {
+        Time::MAX
     }
 }
 
@@ -104,6 +126,16 @@ impl NoiseModel for ScriptedNoise {
 
     fn events_injected(&self) -> u64 {
         self.injected
+    }
+
+    /// The earliest unapplied detour on any rank: `stretch` injects a
+    /// detour only once an interval ends at or after its time.
+    fn quiet_until(&self) -> Time {
+        self.scripts
+            .values()
+            .filter_map(|s| s.detours.get(s.cursor).map(|&(at, _)| at))
+            .min()
+            .unwrap_or(Time::MAX)
     }
 }
 

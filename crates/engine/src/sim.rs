@@ -472,31 +472,51 @@ pub fn simulate<N: NoiseModel + ?Sized>(
 /// [`RunScratch`] pool — the fast path for replica sweeps: compile once,
 /// wrap in an [`Arc`], and call this from every worker. Results are
 /// byte-identical to [`simulate`] on the source [`Schedule`].
+///
+/// A run whose noise is quiet past the memoized noise-free finish is
+/// answered without simulating
+/// ([`CompiledSchedule::quiet_result`]); use [`simulate_compiled_with`]
+/// to always drive the event loop.
 pub fn simulate_compiled<N: NoiseModel + ?Sized>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
+    if let Some(r) = cs.quiet_result(params, noise) {
+        return Ok(r);
+    }
+    with_thread_scratch(|scratch| simulate_compiled_with(cs, params, scratch, noise))
+}
+
+/// Run `f` with this thread's pooled [`RunScratch`] — the one
+/// [`simulate_compiled`] reuses — so callers that drive
+/// [`simulate_compiled_with`] themselves share it instead of holding a
+/// second scratch per thread. Must not be nested.
+pub fn with_thread_scratch<T>(f: impl FnOnce(&mut RunScratch) -> T) -> T {
     thread_local! {
         static SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::new());
     }
-    SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        simulate_compiled_with(cs, params, &mut scratch, noise)
-    })
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// [`simulate_compiled`] with caller-managed scratch: resets `scratch`
 /// and runs `cs` in it. Reusing one scratch across runs (any mix of
 /// schedules and noise seeds) gives results identical to a fresh scratch
 /// per run.
+///
+/// Always drives the event loop (it never answers from the quiet-replica
+/// memo), but a run whose noise stayed quiet past its finish fills the
+/// memo for `params`.
 pub fn simulate_compiled_with<N: NoiseModel + ?Sized>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     scratch: &mut RunScratch,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    run_engine(cs, *params, &FlatCrossbar, scratch, NullRecorder, noise)
+    let quiet_until = noise.quiet_until();
+    let r = run_engine(cs, *params, &FlatCrossbar, scratch, NullRecorder, noise)?;
+    cs.remember_quiet(params, quiet_until, &r);
+    Ok(r)
 }
 
 impl Simulator {

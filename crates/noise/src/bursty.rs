@@ -209,6 +209,12 @@ impl<A: NoiseModel, B: NoiseModel> NoiseModel for ComposedNoise<A, B> {
     fn events_injected(&self) -> u64 {
         self.a.events_injected() + self.b.events_injected()
     }
+
+    /// Quiet while both parts are: below `a`'s bound the interval reaches
+    /// `b` unstretched.
+    fn quiet_until(&self) -> Time {
+        self.a.quiet_until().min(self.b.quiet_until())
+    }
 }
 
 #[cfg(test)]

@@ -140,6 +140,15 @@ impl NoiseModel for CeNoise {
     fn events_injected(&self) -> u64 {
         self.events
     }
+
+    /// The earliest pending arrival over the targeted ranks: an interval
+    /// ending strictly before it reaches no arrival.
+    fn quiet_until(&self) -> Time {
+        match self.scope {
+            Scope::AllRanks => self.next.iter().copied().min().unwrap_or(Time::MAX),
+            Scope::SingleRank(r) => self.next[r.idx()],
+        }
+    }
 }
 
 impl CeNoise {

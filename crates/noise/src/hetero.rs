@@ -148,6 +148,11 @@ impl NoiseModel for HeteroCeNoise {
     fn events_injected(&self) -> u64 {
         self.events
     }
+
+    /// The earliest pending arrival over all ranks.
+    fn quiet_until(&self) -> Time {
+        self.next.iter().copied().min().unwrap_or(Time::MAX)
+    }
 }
 
 #[cfg(test)]

@@ -311,6 +311,25 @@ impl Metrics {
             g.sim_ps_advanced as f64 / 1e12
         ));
 
+        // Quiet-replica elision: process-wide, like the shard counters.
+        let q = cesim_core::engine::quiet_counts();
+        for (name, help, value) in [
+            (
+                "cesim_replicas_elided_total",
+                "Runs answered from a schedule's noise-free memo because no CE could land before the baseline finish.",
+                q.elided,
+            ),
+            (
+                "cesim_replicas_simulated_total",
+                "Runs that consulted the noise-free memo and were simulated.",
+                q.simulated,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+            ));
+        }
+
         // Span-profiler phase histograms (cesim_phase_seconds).
         cesim_core::obs::telemetry::render_prometheus(&mut out);
         out
@@ -356,6 +375,8 @@ mod tests {
         assert!(text.contains("cesim_worker_panics_total 1"));
         assert!(text.contains("cesim_schedule_cache_hits_total 0"));
         assert!(text.contains("cesim_response_cache_misses_total 0"));
+        assert!(text.contains("# TYPE cesim_replicas_elided_total counter"));
+        assert!(text.contains("# TYPE cesim_replicas_simulated_total counter"));
     }
 
     #[test]

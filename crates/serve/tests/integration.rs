@@ -333,6 +333,8 @@ fn metrics_shape_covers_endpoints_and_caches() {
         "cesim_worker_panics_total 0",
         "cesim_schedule_cache_misses_total 1",
         "cesim_response_cache_misses_total 1",
+        "cesim_replicas_elided_total",
+        "cesim_replicas_simulated_total",
     ] {
         assert!(
             scrape.body.contains(needle),

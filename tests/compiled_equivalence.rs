@@ -12,7 +12,8 @@
 //! 1. `simulate` — the legacy entry point (compiles privately, fresh
 //!    scratch);
 //! 2. `simulate_compiled` — one shared [`CompiledSchedule`], pooled
-//!    per-thread scratch;
+//!    per-thread scratch (a noisy run it answers from the quiet-replica
+//!    memo must agree too);
 //! 3. `simulate_compiled_with` — the same compiled schedule through an
 //!    explicitly reused scratch that previously ran a *different*
 //!    schedule (state-bleed detector);
@@ -258,8 +259,13 @@ fn desynchronized_2048_rank_run_is_path_identical() {
         )
     };
 
-    let serial = simulate_compiled(&cs, &p, &mut NoNoise).unwrap();
-    let serial_noisy = simulate_compiled(&cs, &p, &mut mk()).unwrap();
+    // The references come from the event loop itself: with its memo
+    // filled, `simulate_compiled` would answer noise-free re-runs
+    // without simulating.
+    let serial = simulate_compiled_with(&cs, &p, &mut RunScratch::new(), &mut NoNoise).unwrap();
+    let serial_noisy = simulate_compiled_with(&cs, &p, &mut RunScratch::new(), &mut mk()).unwrap();
+    assert_eq!(serial, simulate_compiled(&cs, &p, &mut NoNoise).unwrap());
+    assert_eq!(serial_noisy, simulate_compiled(&cs, &p, &mut mk()).unwrap());
     assert!(serial_noisy.noise_events > 0, "CE noise never fired");
     assert_ne!(serial, serial_noisy);
     // The ranks really are out of step: most finish at distinct instants.
